@@ -99,8 +99,8 @@ fn main() {
     write_json(&runs, &adaptive_choices, upper_bytes, k);
 }
 
-/// Hand-rolled JSON (no serde in the tree), following the
-/// `BENCH_reactor.json` idiom: raw results plus one acceptance block.
+/// Hand-rolled JSON (no serde in the tree): raw results plus one
+/// acceptance block.
 fn write_json(runs: &[Run], choices: &[(&'static str, [u64; 4])], upper_bytes: u64, k: usize) {
     let mut out = String::new();
     out.push_str("{\n");

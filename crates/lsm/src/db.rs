@@ -1512,7 +1512,13 @@ impl IntegrityReport {
 
 impl Drop for Db {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
+        // Set the flag under the state lock: the background thread checks
+        // it and parks on `work_cv` in one lock hold, so a store outside
+        // the lock could land between the two and the notify be lost.
+        {
+            let _st = self.inner.state.lock();
+            self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
+        }
         self.inner.work_cv.notify_all();
         if let Some(handle) = self.bg_thread.take() {
             let _ = handle.join();

@@ -18,15 +18,12 @@
 //!   applied across shards),
 //! * a length-prefixed, CRC-32C-checksummed binary protocol
 //!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/STATS/METRICS,
-//! * [`KvServer`] — a TCP service with graceful shutdown, per-op latency
-//!   capture, and Prometheus text exposition of the full `pcp-obs`
-//!   registry, in two [`ServerMode`]s: the baseline thread-per-connection
-//!   front end, and the event-driven [`reactor`] (epoll/poll readiness
-//!   loop, fixed worker pool, request pipelining, bounded output queues
-//!   with read backpressure) — plus the blocking [`KvClient`] (which
-//!   reconnects with backoff on transient connection loss) and its
-//!   pipelined `send`/`recv` window for many in-flight ops per
-//!   connection,
+//! * [`KvServer`] — a thread-per-connection TCP service with graceful
+//!   shutdown, in-order pipelining, per-op latency capture, and
+//!   Prometheus text exposition of the full `pcp-obs` registry — plus
+//!   the blocking [`KvClient`] (which reconnects with backoff on
+//!   transient connection loss) and its pipelined `send`/`recv` window
+//!   for many in-flight ops per connection,
 //! * primary→replica replication: a [`ReplSource`] taps every shard's
 //!   consolidated group-commit WAL records (via [`pcp_lsm::WalTap`]) into
 //!   bounded outbound queues, REPL_SUBSCRIBE streams them with lockstep
@@ -37,7 +34,6 @@
 
 pub mod client;
 pub mod proto;
-pub mod reactor;
 pub mod replica;
 pub mod router;
 pub mod server;
@@ -46,7 +42,6 @@ pub mod ship;
 
 pub use client::KvClient;
 pub use proto::{BatchItem, Request, Response, Role, ServiceStats};
-pub use reactor::{FrameDecoder, ReactorConfig};
 pub use replica::ReplicaServer;
 pub use router::{HashRouter, RangeRouter, Router};
 pub use server::{KvServer, ServerMode, ServerOptions};

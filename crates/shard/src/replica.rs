@@ -113,7 +113,6 @@ impl ReplicaServer {
                 role: Some(Role::Replica),
                 repl_source: None,
                 on_promote: Some(hook),
-                ..ServerOptions::default()
             },
         )?;
         Self::register_metrics(&ctrl, server.registry());

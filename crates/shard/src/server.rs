@@ -1,15 +1,9 @@
-//! TCP front end over a [`ShardedDb`], in one of two server modes:
-//!
-//! * [`ServerMode::Blocking`] — deliberately boring networking:
-//!   `std::net` blocking sockets, one thread per connection, a short
-//!   read timeout so every thread notices the shutdown flag promptly.
-//!   The baseline, and the reference semantics.
-//! * [`ServerMode::Reactor`] — the event-driven front end
-//!   ([`crate::reactor`]): one epoll/poll event-loop thread, a fixed
-//!   worker pool, request pipelining, bounded per-connection output
-//!   queues. Same wire protocol, same op semantics (both modes execute
-//!   through the same `ServerShared::handle`), built for thousands of
-//!   connections instead of tens.
+//! TCP front end over a [`ShardedDb`]: deliberately boring networking.
+//! `std::net` blocking sockets, one thread per connection, a short read
+//! timeout so every thread notices the shutdown flag promptly, and a
+//! write timeout so a peer that stops reading cannot pin its thread.
+//! Each connection's requests run in arrival order on its own thread,
+//! so a pipelined window is answered in program order.
 //!
 //! The interesting state — memtables, WALs, compaction pipelines — all
 //! lives below, in the sharded engine; the service layer only frames
@@ -40,32 +34,26 @@ use std::time::{Duration, Instant};
 
 /// How long a connection thread blocks in `read` before re-checking the
 /// shutdown flag.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long one blocked socket `write` may wait for the peer to read
+/// before the connection is dropped. Bounds shutdown: a client that
+/// pipelines requests and never reads their responses cannot hold its
+/// connection thread (and so [`KvServer::shutdown`]) forever. The bound
+/// is per `write` call: TCP zero-window probes can let a few bytes of a
+/// stuck frame through, so failing it may take a few timeouts.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Hook a replica supplies to run its side of PROMOTE (stop pullers and
 /// drain them) before the server flips its role to primary.
 pub type PromoteHook = Arc<dyn Fn() -> io::Result<()> + Send + Sync>;
 
-/// Which front end serves request/response traffic.
+/// The front end serving request/response traffic, as reported by
+/// [`KvServer::mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerMode {
-    /// Thread per connection (the baseline).
+    /// Thread per connection, requests served in arrival order.
     Blocking,
-    /// Nonblocking event loop + worker pool ([`crate::reactor`]).
-    Reactor,
-}
-
-impl ServerMode {
-    /// Reads the `PCP_SERVER_MODE` environment override (`"reactor"` or
-    /// `"blocking"`), used by CI to run the whole e2e suite against the
-    /// reactor front end without touching the tests.
-    pub fn from_env() -> Option<ServerMode> {
-        match std::env::var("PCP_SERVER_MODE").ok()?.as_str() {
-            "reactor" => Some(ServerMode::Reactor),
-            "blocking" => Some(ServerMode::Blocking),
-            _ => None,
-        }
-    }
 }
 
 /// Configuration for [`KvServer::start_with`].
@@ -79,21 +67,16 @@ pub struct ServerOptions {
     /// Called on PROMOTE (and [`KvServer::promote`]) while still in
     /// replica role, before the role flips.
     pub on_promote: Option<PromoteHook>,
-    /// Front end to serve with. `None` falls back to the
-    /// `PCP_SERVER_MODE` environment override, then
-    /// [`ServerMode::Blocking`].
-    pub mode: Option<ServerMode>,
-    /// Reactor tuning, used only in [`ServerMode::Reactor`].
-    pub reactor: crate::reactor::ReactorConfig,
 }
 
-pub(crate) struct ServerShared {
+struct ServerShared {
     db: Arc<ShardedDb>,
-    /// Generation counter doubling as the shutdown flag: odd = draining.
+    /// Set once by [`KvServer::shutdown`]; every service thread polls it.
     shutdown: std::sync::atomic::AtomicBool,
     /// Wire encoding of [`Role`]; writes are refused while it reads
-    /// replica.
-    role: AtomicU8,
+    /// replica. Shared with the `pcp_repl_role` gauge, which must not
+    /// own the whole `ServerShared` (the registry lives inside it).
+    role: Arc<AtomicU8>,
     repl: Option<Arc<ReplSource>>,
     on_promote: Option<PromoteHook>,
     /// Serializes PROMOTE so the hook runs at most once.
@@ -108,33 +91,8 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    pub(crate) fn shutting_down(&self) -> bool {
+    fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// The server-owned metrics registry (for the reactor's series).
-    pub(crate) fn registry(&self) -> &pcp_obs::Registry {
-        &self.registry
-    }
-
-    /// Counts a request that produced an ERR outside [`Self::handle`]
-    /// (e.g. an undecodable payload answered by the front end).
-    pub(crate) fn count_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn connection_opened(&self) {
-        self.active_conns.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn connection_closed(&self) {
-        self.active_conns.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Registers a service-owned thread (subscriber streams handed off by
-    /// the reactor) to be joined on shutdown.
-    pub(crate) fn track_thread(&self, handle: std::thread::JoinHandle<()>) {
-        self.conns.lock().push(handle);
     }
 
     fn role(&self) -> Role {
@@ -175,7 +133,7 @@ impl ServerShared {
         }
     }
 
-    pub(crate) fn handle(&self, req: Request) -> Response {
+    fn handle(&self, req: Request) -> Response {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         if self.role() == Role::Replica
@@ -262,11 +220,7 @@ impl ServerShared {
 pub struct KvServer {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
-    mode: ServerMode,
-    /// The accept loop (blocking mode) or the reactor event loop.
-    service_thread: Option<std::thread::JoinHandle<()>>,
-    /// Wakes the reactor event loop out of its poll wait (reactor mode).
-    waker: Option<crate::reactor::Waker>,
+    accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl KvServer {
@@ -331,14 +285,23 @@ impl KvServer {
         if let Some(source) = &options.repl_source {
             source.register_metrics(&registry);
         }
-        let role = match options.role.unwrap_or(Role::Primary) {
+        let role = Arc::new(AtomicU8::new(match options.role.unwrap_or(Role::Primary) {
             Role::Primary => 0,
             Role::Replica => 1,
-        };
+        }));
+        {
+            let role = Arc::clone(&role);
+            registry.register_fn_gauge(
+                "pcp_repl_role",
+                "service role: 0 = primary, 1 = replica",
+                Vec::new(),
+                move || role.load(Ordering::SeqCst) as f64,
+            );
+        }
         let shared = Arc::new(ServerShared {
             db,
             shutdown: std::sync::atomic::AtomicBool::new(false),
-            role: AtomicU8::new(role),
+            role,
             repl: options.repl_source,
             on_promote: options.on_promote,
             promote_lock: Mutex::new(()),
@@ -350,50 +313,20 @@ impl KvServer {
             registry,
             conns: Mutex::new(Vec::new()),
         });
-        {
-            let role_shared = Arc::clone(&shared);
-            shared.registry.register_fn_gauge(
-                "pcp_repl_role",
-                "service role: 0 = primary, 1 = replica",
-                Vec::new(),
-                move || role_shared.role.load(Ordering::SeqCst) as f64,
-            );
-        }
-        let mode = options
-            .mode
-            .or_else(ServerMode::from_env)
-            .unwrap_or(ServerMode::Blocking);
-        match mode {
-            ServerMode::Blocking => {
-                let accept_shared = Arc::clone(&shared);
-                let accept_thread = std::thread::Builder::new()
-                    .name("pcp-kv-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared))?;
-                Ok(KvServer {
-                    local_addr,
-                    shared,
-                    mode,
-                    service_thread: Some(accept_thread),
-                    waker: None,
-                })
-            }
-            ServerMode::Reactor => {
-                let handle =
-                    crate::reactor::spawn(listener, Arc::clone(&shared), options.reactor)?;
-                Ok(KvServer {
-                    local_addr,
-                    shared,
-                    mode,
-                    service_thread: Some(handle.thread),
-                    waker: Some(handle.waker),
-                })
-            }
-        }
+        let accept_shared = Arc::clone(&shared);
+        let accept_thread = std::thread::Builder::new()
+            .name("pcp-kv-accept".into())
+            .spawn(move || accept_loop(listener, accept_shared))?;
+        Ok(KvServer {
+            local_addr,
+            shared,
+            accept_thread: Some(accept_thread),
+        })
     }
 
     /// The front end this server is running ([`ServerMode`]).
     pub fn mode(&self) -> ServerMode {
-        self.mode
+        ServerMode::Blocking
     }
 
     /// The bound address (the actual port when started with port 0).
@@ -440,17 +373,9 @@ impl KvServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        match &self.waker {
-            // Reactor mode: nudge the event loop out of its poll wait; it
-            // drains in-flight ops and flushes responses before exiting.
-            Some(waker) => waker.wake(),
-            // Blocking mode: unblock the accept loop with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(self.local_addr);
-            }
-        }
-        if let Some(t) = self.service_thread.take() {
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.local_addr);
+        if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
         let conns = std::mem::take(&mut *self.shared.conns.lock());
@@ -508,6 +433,7 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<
     // timeout is harmless: bytes already read sit in `buf` and the next
     // read continues where it left off.
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true).ok();
     let mut buf: Vec<u8> = Vec::with_capacity(16 << 10);
     let mut chunk = [0u8; 16 << 10];
@@ -557,7 +483,7 @@ enum AckWait {
 /// per acknowledged round trip, until the subscriber disconnects or the
 /// server shuts down — in which case the stream is drained with a clean
 /// REPL_END frame rather than a dropped socket.
-pub(crate) fn serve_subscriber(
+fn serve_subscriber(
     mut stream: TcpStream,
     shared: &ServerShared,
     mut buf: Vec<u8>,
@@ -579,7 +505,6 @@ pub(crate) fn serve_subscriber(
         return Ok(());
     }
     let shard = shard as usize;
-    let retry = pcp_storage::RetryPolicy::default();
     let mut want = from_seq;
     loop {
         if shared.shutting_down() {
@@ -595,7 +520,10 @@ pub(crate) fn serve_subscriber(
                     record: payload,
                 }
                 .encode();
-                pcp_storage::with_retry(&retry, || write_frame(&mut stream, &frame))?;
+                // Not retried: a write that hit `WRITE_TIMEOUT` may have
+                // sent part of the frame, and resending it would corrupt
+                // the stream. The subscriber reconnects instead.
+                write_frame(&mut stream, &frame)?;
                 match wait_for_ack(&mut stream, &mut buf, shared)? {
                     AckWait::Acked(applied_seq) => {
                         source.ack(shard, applied_seq);

@@ -62,7 +62,6 @@ fn start_primary(
             role: Some(Role::Primary),
             repl_source: Some(Arc::clone(&source)),
             on_promote: None,
-            ..ServerOptions::default()
         },
     )
     .unwrap();

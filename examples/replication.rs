@@ -59,7 +59,6 @@ fn main() -> std::io::Result<()> {
             role: Some(Role::Primary),
             repl_source: Some(Arc::clone(&source)),
             on_promote: None,
-            ..ServerOptions::default()
         },
     )?;
     println!("primary  serving on {}", primary.local_addr());

@@ -28,18 +28,11 @@ cargo build --examples --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q -p pcp-shard --test kv_service (TCP service e2e)"
-cargo test -q -p pcp-shard --test kv_service
+echo "==> cargo test -q -p pcp-shard --test kv_service --test frame_assembly (TCP service e2e + frame assembly)"
+cargo test -q -p pcp-shard --test kv_service --test frame_assembly
 
 echo "==> cargo test -q -p pcp-shard --test replication (replication e2e + seeded kill/promote matrix)"
 cargo test -q -p pcp-shard --test replication
-
-echo "==> cargo test -q -p pcp-shard --test reactor_frames --test reactor_service (reactor front end)"
-cargo test -q -p pcp-shard --test reactor_frames --test reactor_service
-
-echo "==> PCP_SERVER_MODE=reactor kv e2e (existing suites against the event-driven front end)"
-PCP_SERVER_MODE=reactor cargo test -q -p pcp-shard --test kv_service
-PCP_SERVER_MODE=reactor cargo test -q -p pcp-shard --test replication
 
 echo "==> PCP_EXECUTOR=adaptive engine e2e (full engine suites under the forced adaptive default)"
 run_adaptive_lane --test adaptive_scheduler --test engine_with_executors --test fault_injection
@@ -61,9 +54,6 @@ cargo test -q --features lock_order
 
 echo "==> cargo bench -p pcp-bench --bench write_concurrency (group-commit smoke, quick mode)"
 cargo bench -p pcp-bench --bench write_concurrency
-
-echo "==> cargo bench -p pcp-bench --bench reactor (reactor-vs-blocking smoke, quick mode)"
-cargo bench -p pcp-bench --bench reactor
 
 echo "==> cargo bench -p pcp-bench --bench adaptive (adaptive-vs-fixed-shapes smoke, quick mode)"
 cargo bench -p pcp-bench --bench adaptive
