@@ -214,8 +214,8 @@ fn main() {
     write_json(&runs, short_range, v1_readable, target_bytes, seeks);
 }
 
-/// Hand-rolled JSON (no serde in the tree), `BENCH_adaptive.json` idiom:
-/// raw results plus one acceptance block.
+/// Hand-rolled JSON (no serde in the tree): raw results plus one
+/// acceptance block.
 fn write_json(
     runs: &[Run],
     short_range: [f64; 2],

@@ -126,8 +126,8 @@ pub trait CompactionExec: Send + Sync {
     /// returns their metadata (in key order).
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>>;
 
-    /// Registers any executor-owned series (occupancy gauges, shape-choice
-    /// counters) in `registry`. Stateless executors have nothing to
+    /// Registers any executor-owned series (the step profile and its
+    /// occupancy gauges) in `registry`. Stateless executors have nothing to
     /// publish, so the default is a no-op. Call this once per executor
     /// instance, not once per database sharing it — the engine-level
     /// `register_metrics` entry points take care of that.

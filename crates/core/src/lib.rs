@@ -29,18 +29,13 @@
 //! * [`model`] — the closed-form bandwidth equations Eq. 1–7.
 //! * [`profile`] — per-step time accounting used by the paper's breakdown
 //!   figures (Fig. 5/8/9).
-//! * [`adaptive`] — [`AdaptiveExec`], the production default: picks the
-//!   pipeline shape per compaction from the previous compaction's
-//!   occupancy, the input size, and the scheduler's resource grant.
 
-pub mod adaptive;
 pub mod model;
 pub mod pipeline;
 pub mod planner;
 pub mod profile;
 pub mod steps;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveExec, ExecChoice, CHOICE_LABELS};
 pub use model::{Bottleneck, StepTimes};
 pub use pipeline::{PipelineConfig, PipelinedExec, ScpExec, SealedWriter};
 pub use planner::{check_plan, plan_subtasks, RunBlocks, SubTask};

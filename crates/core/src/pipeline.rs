@@ -306,14 +306,6 @@ impl ScpExec {
         self
     }
 
-    /// Replaces the step profile with a shared one, so several executors
-    /// (e.g. the shapes inside [`crate::AdaptiveExec`]) account into the
-    /// same occupancy history.
-    pub fn with_profile(mut self, profile: Arc<CompactionProfile>) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Shared step profile.
     pub fn profile(&self) -> Arc<CompactionProfile> {
         Arc::clone(&self.profile)
@@ -329,6 +321,10 @@ impl Default for ScpExec {
 impl CompactionExec for ScpExec {
     fn name(&self) -> &'static str {
         "scp"
+    }
+
+    fn register_metrics(&self, registry: &pcp_obs::Registry) {
+        self.profile.register_metrics(registry, self.name());
     }
 
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
@@ -441,14 +437,6 @@ impl PipelinedExec {
         })
     }
 
-    /// Replaces the step profile with a shared one, so several executors
-    /// (e.g. the shapes inside [`crate::AdaptiveExec`]) account into the
-    /// same occupancy history.
-    pub fn with_profile(mut self, profile: Arc<CompactionProfile>) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Shared step profile.
     pub fn profile(&self) -> Arc<CompactionProfile> {
         Arc::clone(&self.profile)
@@ -471,6 +459,10 @@ impl CompactionExec for PipelinedExec {
             (1, _) => "c-ppcp",
             _ => "sc-ppcp",
         }
+    }
+
+    fn register_metrics(&self, registry: &pcp_obs::Registry) {
+        self.profile.register_metrics(registry, self.name());
     }
 
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {

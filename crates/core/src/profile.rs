@@ -81,14 +81,6 @@ pub struct Occupancy {
     pub wall: Duration,
 }
 
-impl Occupancy {
-    /// The largest of the three fractions — the bottleneck resource's
-    /// occupancy, which PCP drives toward 1.0.
-    pub fn bottleneck(&self) -> f64 {
-        self.read.max(self.compute).max(self.write)
-    }
-}
-
 /// Thread-safe accumulator shared by all pipeline stages of one (or many)
 /// compactions.
 #[derive(Debug, Default)]
@@ -447,7 +439,6 @@ mod tests {
         assert!((occ.read - 0.2).abs() < 1e-9);
         assert!((occ.compute - 0.6).abs() < 1e-9);
         assert!((occ.write - 0.3).abs() < 1e-9);
-        assert!((occ.bottleneck() - 0.6).abs() < 1e-9);
         assert_eq!(occ.wall, Duration::from_secs(1));
         // Empty profile → all-zero occupancy, no division by zero.
         assert_eq!(CompactionProfile::new().snapshot().occupancy(), Occupancy::default());

@@ -16,7 +16,7 @@
 //!   coupling that makes compaction bandwidth determine system throughput
 //!   (Fig. 10: IOPS vs compaction bandwidth).
 
-use crate::compact::{CompactionExec, CompactionRequest, ResourceGrant, SimpleMergeExec};
+use crate::compact::{CompactionExec, CompactionRequest, ResourceGrant};
 use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
 use crate::iter::{DbIter, LevelIter};
 use crate::memtable::Memtable;
@@ -82,13 +82,12 @@ pub struct Options {
     pub readahead: bool,
     /// Decoded-block budget of each iterator's readahead window.
     pub readahead_window_bytes: usize,
-    /// The compaction algorithm. Defaults to the adaptive pipelined
-    /// executor ([`pcp_core::AdaptiveExec`]), which picks PCP / C-PPCP /
-    /// S-PPCP / simple-merge per compaction from the published occupancy
-    /// gauges; the `PCP_EXECUTOR` environment variable overrides the
-    /// default process-wide (see [`Options::default_executor`]), and
-    /// setting this field to [`SimpleMergeExec`] restores the old
-    /// reference behavior explicitly.
+    /// The compaction algorithm. Defaults to plain PCP
+    /// ([`pcp_core::PipelinedExec::pcp`]) with the paper's best sub-task
+    /// size (512 KiB, Fig. 11a). Set it to [`pcp_core::ScpExec`], a
+    /// C-PPCP / S-PPCP [`pcp_core::PipelinedExec`], or
+    /// [`crate::SimpleMergeExec`] (the entry-level reference) to run another
+    /// procedure.
     pub executor: Arc<dyn CompactionExec>,
     /// Retry policy for transient I/O failures in the WAL, MANIFEST, and
     /// background flush/compaction paths. Non-transient failures are never
@@ -129,7 +128,7 @@ impl Default for Options {
             framed_blocks: false,
             readahead: true,
             readahead_window_bytes: 1 << 20,
-            executor: Options::default_executor(),
+            executor: Arc::new(pcp_core::PipelinedExec::pcp(512 << 10)),
             retry: RetryPolicy::default(),
             dir: None,
             compaction_limiter: None,
@@ -139,38 +138,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// The executor [`Options::default`] installs: the adaptive pipelined
-    /// executor, unless the `PCP_EXECUTOR` environment variable names a
-    /// different one (see [`Options::executor_named`]; unknown names fall
-    /// back to adaptive). The env override exists so whole test suites and
-    /// services can be re-run under a fixed shape without code changes.
-    pub fn default_executor() -> Arc<dyn CompactionExec> {
-        std::env::var("PCP_EXECUTOR")
-            .ok()
-            .and_then(|name| Self::executor_named(&name))
-            .unwrap_or_else(|| Arc::new(pcp_core::AdaptiveExec::default()))
-    }
-
-    /// Builds an executor from its stable name, as accepted by the
-    /// `PCP_EXECUTOR` override: `adaptive`, `simple` (or `simple-merge`),
-    /// `scp`, `pcp`, `c-ppcp`, `s-ppcp`. Parallel shapes size their worker
-    /// count to the host's cores. Returns `None` for unknown names.
-    pub fn executor_named(name: &str) -> Option<Arc<dyn CompactionExec>> {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let subtask = 512 << 10; // the paper's best sub-task size (Fig. 11a)
-        match name {
-            "adaptive" => Some(Arc::new(pcp_core::AdaptiveExec::default())),
-            "simple" | "simple-merge" => Some(Arc::new(SimpleMergeExec)),
-            "scp" => Some(Arc::new(pcp_core::ScpExec::new(subtask))),
-            "pcp" => Some(Arc::new(pcp_core::PipelinedExec::pcp(subtask))),
-            "c-ppcp" => Some(Arc::new(pcp_core::PipelinedExec::c_ppcp(subtask, cores))),
-            "s-ppcp" => Some(Arc::new(pcp_core::PipelinedExec::s_ppcp(subtask, cores))),
-            _ => None,
-        }
-    }
-
     /// Default options rooted at `dir` (see [`Options::dir`]).
     pub fn with_dir(dir: impl Into<std::path::PathBuf>) -> Options {
         Options {

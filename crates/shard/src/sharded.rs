@@ -350,10 +350,10 @@ impl ShardedDb {
     /// the cross-shard scheduler series (`pcp_sched_*` — token budget,
     /// per-shard grants and debt, bandwidth slices, steal count; see
     /// `OBSERVABILITY.md` §scheduler), and the shared executor's own
-    /// series (occupancy gauges and, for the adaptive executor, the
-    /// `pcp_sched_executor_choice_total` counter). Scrapes read live
-    /// atomics or take the scheduler's short state lock — registration is
-    /// one-time, snapshotting never blocks compactions for long.
+    /// series (the `pcp_compaction_*` step profile and occupancy gauges,
+    /// labelled `exec="<name>"`). Scrapes read live atomics or take the
+    /// scheduler's short state lock — registration is one-time,
+    /// snapshotting never blocks compactions for long.
     pub fn register_metrics(&self, registry: &pcp_obs::Registry) {
         for (i, db) in self.shards.iter().enumerate() {
             db.register_metrics(registry, &[("shard", &i.to_string())]);

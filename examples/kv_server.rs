@@ -15,9 +15,10 @@
 //! With an address argument the server stays up until Ctrl-C so external
 //! clients can connect; without one it runs the scripted demo and exits.
 //!
-//! Each shard compacts with the production default, the adaptive PCP
-//! executor (`Options::default()`; override with `PCP_EXECUTOR`), under
-//! the shared cross-shard scheduler — see `DESIGN.md` §15.
+//! Each shard compacts with the production default, the plain PCP
+//! executor (`Options::default()`; set `Options::executor` for another
+//! procedure), under the shared cross-shard scheduler — see `DESIGN.md`
+//! §15.
 
 use pcp::lsm::Options;
 use pcp::shard::{HashRouter, KvClient, KvServer, ShardedDb};

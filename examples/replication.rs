@@ -4,9 +4,9 @@
 //! replica is promoted — every write the client saw acknowledged is
 //! still there, and the promoted node immediately accepts new writes.
 //!
-//! Both nodes run the engine's production defaults: the adaptive PCP
-//! executor chooses each compaction's pipeline shape (`DESIGN.md` §15),
-//! and replication ships WAL records independently of compaction.
+//! Both nodes run the engine's production defaults: every compaction runs
+//! through the plain PCP pipeline (`DESIGN.md` §15), and replication
+//! ships WAL records independently of compaction.
 //!
 //! ```sh
 //! cargo run --release --example replication

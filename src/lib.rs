@@ -19,28 +19,25 @@
 //! // or StdFsEnv for real files).
 //! let env = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))));
 //!
-//! // The default executor is the adaptive pipeline: each compaction
-//! // picks SCP / PCP / C-PPCP / S-PPCP from the live occupancy gauges.
+//! // The default executor is the paper's plain PCP: a three-stage
+//! // read | compute | write pipeline over 512 KiB sub-tasks.
 //! let db = Db::open(env, Options::default()).unwrap();
 //! db.put(b"key", b"value").unwrap();
 //! assert_eq!(db.get(b"key").unwrap(), Some(b"value".to_vec()));
 //! ```
 //!
-//! To pin the paper's plain PCP shape instead (512 KB sub-tasks):
+//! To run another of the paper's procedures, set `Options::executor` —
+//! here C-PPCP with two compute workers:
 //!
 //! ```
 //! # use pcp::lsm::Options;
 //! # use pcp::core::PipelinedExec;
 //! # use std::sync::Arc;
 //! let opts = Options {
-//!     executor: Arc::new(PipelinedExec::pcp(512 << 10)),
+//!     executor: Arc::new(PipelinedExec::c_ppcp(512 << 10, 2)),
 //!     ..Default::default()
 //! };
 //! ```
-//!
-//! The `PCP_EXECUTOR` environment variable
-//! (`adaptive|simple|scp|pcp|c-ppcp|s-ppcp`) overrides the default
-//! process-wide without code changes.
 //!
 //! ## Crate map
 //!
@@ -51,7 +48,7 @@
 //! | [`sstable`] | `pcp-sstable` | block/table formats, bloom filters, merging iterators |
 //! | [`compaction`] | `pcp-compaction` | `CompactionExec` interface, resource grants, the cross-shard scheduler |
 //! | [`lsm`] | `pcp-lsm` | memtable, WAL, versions, leveled compaction, the `Db` |
-//! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, SCP/PCP/C-PPCP/S-PPCP executors, the adaptive wrapper, Eq. 1–7, step profiler |
+//! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, SCP/PCP/C-PPCP/S-PPCP executors, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |
 //! | [`workload`] | `pcp-workload` | key/value generators and insert drivers |
 //! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service |
@@ -73,7 +70,7 @@ pub use pcp_workload as workload;
 
 /// Convenience prelude for applications.
 pub mod prelude {
-    pub use pcp_core::{AdaptiveConfig, AdaptiveExec, PipelineConfig, PipelinedExec, ScpExec};
+    pub use pcp_core::{PipelineConfig, PipelinedExec, ScpExec};
     pub use pcp_obs::{MetricsSnapshot, Registry, TraceLog};
     pub use pcp_lsm::{CompactionLimiter, CompactionPolicy, Db, DbHealth, Options, WriteBatch};
     pub use pcp_shard::{HashRouter, KvClient, KvServer, RangeRouter, ShardedDb, ShardedHealth};

@@ -1,11 +1,12 @@
-//! The adaptive-default production path end to end: the cross-shard
-//! resource scheduler's token invariant under real 8-shard concurrency,
-//! deterministic shape selection, scheduler observability, and
-//! byte-for-byte equivalence of an adaptive-default database against the
-//! reference simple-merge executor.
+//! The default compaction path end to end: the cross-shard resource
+//! scheduler's token invariant under real 8-shard concurrency, scheduler
+//! and executor observability, and byte-for-byte equivalence of a
+//! default-executor database against the reference simple-merge executor.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, ExecChoice, Occupancy};
-use pcp::lsm::{CompactionLimiter, CompactionPolicy, Db, Options, SimpleMergeExec};
+use pcp::core::{PipelinedExec, ScpExec};
+use pcp::lsm::{
+    CompactionExec, CompactionLimiter, CompactionPolicy, Db, Options, SimpleMergeExec,
+};
 use pcp::obs::Registry;
 use pcp::shard::{HashRouter, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
@@ -28,6 +29,16 @@ fn small_opts() -> Options {
         },
         ..Default::default()
     }
+}
+
+/// Overwrites a small key set until every shard has flushed several
+/// memtables, so level 0 overlaps and real (non-trivial) merges run.
+fn overwrite_until_compacted(db: &ShardedDb) {
+    for i in 0..4000u64 {
+        let key = format!("key{:05}", i % 500);
+        db.put(key.as_bytes(), &[(i % 251) as u8; 64]).unwrap();
+    }
+    db.wait_idle().unwrap();
 }
 
 /// Eight shards hammering one scheduler with a stage-token budget smaller
@@ -99,81 +110,9 @@ fn sched_token_budget_holds_under_eight_shard_concurrency() {
     assert!(limiter.peak() >= 1, "scheduler never admitted a compaction");
 }
 
-/// The shape decision is a pure function of (config, occupancy, input
-/// size, token grant): same snapshot in, same choice out — every time.
-#[test]
-fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
-    let cfg = AdaptiveConfig {
-        max_workers: 4,
-        ..AdaptiveConfig::default()
-    };
-    let snapshots = [
-        // (occupancy, input, tokens) -> expected
-        (
-            Occupancy {
-                read: 0.3,
-                compute: 0.95,
-                write: 0.4,
-                wall: Duration::from_millis(80),
-            },
-            64 << 20,
-            usize::MAX,
-            ExecChoice::CPpcp(4),
-        ),
-        (
-            Occupancy {
-                read: 0.95,
-                compute: 0.3,
-                write: 0.2,
-                wall: Duration::from_millis(80),
-            },
-            64 << 20,
-            usize::MAX,
-            ExecChoice::SPpcp(4),
-        ),
-        (
-            Occupancy {
-                read: 0.5,
-                compute: 0.5,
-                write: 0.9,
-                wall: Duration::from_millis(80),
-            },
-            64 << 20,
-            usize::MAX,
-            ExecChoice::Pcp,
-        ),
-        (
-            Occupancy {
-                read: 0.3,
-                compute: 0.95,
-                write: 0.4,
-                wall: Duration::from_millis(80),
-            },
-            1 << 20, // small job wins over any occupancy signal
-            usize::MAX,
-            ExecChoice::Simple,
-        ),
-        (
-            Occupancy {
-                read: 0.3,
-                compute: 0.95,
-                write: 0.4,
-                wall: Duration::from_millis(80),
-            },
-            64 << 20,
-            2, // the scheduler's grant caps the parallel width
-            ExecChoice::CPpcp(2),
-        ),
-    ];
-    for (occ, input, tokens, want) in snapshots {
-        for _ in 0..50 {
-            assert_eq!(AdaptiveExec::choose(&cfg, &occ, input, tokens), want);
-        }
-    }
-}
-
-/// The sharded engine's registry carries the full `pcp_sched_*` contract
-/// after one registration pass.
+/// The sharded engine's registry carries the full `pcp_sched_*` contract,
+/// plus the default executor's `pcp_compaction_*` profile, after one
+/// registration pass.
 #[test]
 fn sched_metrics_are_exposed_by_the_sharded_engine() {
     const SHARDS: usize = 2;
@@ -185,10 +124,7 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
     let envs: Vec<EnvRef> = (0..SHARDS).map(|_| mem_env()).collect();
     let db =
         ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(SHARDS))).unwrap();
-    for i in 0..400u64 {
-        db.put(format!("key{i:05}").as_bytes(), b"value").unwrap();
-    }
-    db.wait_idle().unwrap();
+    overwrite_until_compacted(&db);
 
     let registry = Registry::new();
     db.register_metrics(&registry);
@@ -202,19 +138,57 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
         "pcp_sched_tokens_granted{shard=\"1\"}",
         "pcp_sched_bandwidth_bytes_per_sec{shard=\"0\"}",
         "pcp_sched_debt{shard=\"0\"}",
-        "pcp_sched_executor_choice_total{choice=\"simple\"}",
-        "pcp_sched_executor_choice_total{choice=\"pcp\"}",
+        "pcp_compaction_step_busy_nanoseconds_total{exec=\"pcp\",step=\"read\"}",
+        "pcp_compaction_last_occupancy{exec=\"pcp\",stage=\"compute\"}",
     ] {
         assert!(text.contains(series), "missing series {series} in:\n{text}");
     }
-    // The default executor is the adaptive one, and it ran compactions.
-    assert_eq!(db.shard(0).executor().name(), "adaptive");
+    // The default executor is plain PCP, and its profile saw compactions.
+    assert_eq!(db.shard(0).executor().name(), "pcp");
+    let compactions = registry
+        .snapshot()
+        .counter("pcp_compactions_total", &[("exec", "pcp")]);
+    assert!(compactions > 0, "no compaction reached the profile");
 }
 
-/// A database on the adaptive default and one pinned to the reference
-/// executor must converge to byte-identical full key/value streams for
-/// the same workload — the repo-wide executor-equivalence invariant
-/// lifted to the production default.
+/// Every profiled executor, not just the default, exports its step
+/// profile and occupancy gauges through `ShardedDb::register_metrics`.
+#[test]
+fn sharded_engine_exports_the_profile_of_any_executor() {
+    let execs: [(&str, Arc<dyn CompactionExec>); 2] = [
+        ("scp", Arc::new(ScpExec::new(8 << 10))),
+        ("c-ppcp", Arc::new(PipelinedExec::c_ppcp(8 << 10, 2))),
+    ];
+    for (name, executor) in execs {
+        let opts = Options {
+            executor,
+            ..small_opts()
+        };
+        let envs: Vec<EnvRef> = (0..2).map(|_| mem_env()).collect();
+        let db = ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(2))).unwrap();
+        overwrite_until_compacted(&db);
+
+        let registry = Registry::new();
+        db.register_metrics(&registry);
+        let snap = registry.snapshot();
+        let occupancy = [("exec", name), ("stage", "read")];
+        assert!(
+            snap.get_with("pcp_compaction_last_occupancy", &occupancy).is_some(),
+            "{name}: no occupancy gauge"
+        );
+        let read_step = [("exec", name), ("step", "read")];
+        assert!(
+            snap.counter("pcp_compaction_step_busy_nanoseconds_total", &read_step) > 0,
+            "{name}: no S1 busy time exported"
+        );
+    }
+}
+
+/// A database on the default executor (and one on PCP with tiny
+/// sub-tasks, so each run splits into several) and one pinned to the
+/// reference executor must converge to byte-identical full key/value
+/// streams for the same workload — the repo-wide executor-equivalence
+/// invariant lifted to the production default.
 fn full_stream(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut it = db.iter();
     it.seek_to_first();
@@ -233,41 +207,47 @@ proptest! {
     })]
 
     #[test]
-    fn adaptive_default_db_matches_simple_merge_db(
+    fn default_db_matches_simple_merge_db(
         ops in prop::collection::vec(
             (prop::num::u16::ANY, prop::bool::ANY, 0usize..80),
             200..800,
         ),
     ) {
-        let adaptive_opts = Options {
-            executor: Arc::new(AdaptiveExec::new(AdaptiveConfig {
-                subtask_bytes: 8 << 10,
-                small_job_bytes: 16 << 10,
-                ..AdaptiveConfig::default()
-            })),
-            ..small_opts()
-        };
         let simple_opts = Options {
             executor: Arc::new(SimpleMergeExec),
             ..small_opts()
         };
-        let db_a = Db::open(mem_env(), adaptive_opts).unwrap();
+        let pcp_opts = Options {
+            executor: Arc::new(PipelinedExec::pcp(8 << 10)),
+            ..small_opts()
+        };
         let db_s = Db::open(mem_env(), simple_opts).unwrap();
+        let dbs = [
+            Db::open(mem_env(), small_opts()).unwrap(),
+            Db::open(mem_env(), pcp_opts).unwrap(),
+        ];
         for (kx, is_delete, vlen) in &ops {
             let key = format!("key{:04}", kx % 500).into_bytes();
             if *is_delete {
-                db_a.delete(&key).unwrap();
                 db_s.delete(&key).unwrap();
+                for db in &dbs {
+                    db.delete(&key).unwrap();
+                }
             } else {
                 let value = vec![(*kx % 251) as u8; *vlen];
-                db_a.put(&key, &value).unwrap();
                 db_s.put(&key, &value).unwrap();
+                for db in &dbs {
+                    db.put(&key, &value).unwrap();
+                }
             }
         }
-        db_a.wait_idle().unwrap();
         db_s.wait_idle().unwrap();
-        db_a.compact_range(None, None).unwrap();
         db_s.compact_range(None, None).unwrap();
-        prop_assert_eq!(full_stream(&db_a), full_stream(&db_s));
+        let want = full_stream(&db_s);
+        for db in &dbs {
+            db.wait_idle().unwrap();
+            db.compact_range(None, None).unwrap();
+            prop_assert_eq!(full_stream(db), want.clone());
+        }
     }
 }

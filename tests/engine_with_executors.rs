@@ -2,7 +2,7 @@
 //! put/overwrite/delete workload checked against a BTreeMap oracle,
 //! including across restarts, on latency-free and latency-modeled devices.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelinedExec, ScpExec};
+use pcp::core::{PipelinedExec, ScpExec};
 use pcp::lsm::{CompactionExec, CompactionPolicy, Db, Options, SimpleMergeExec};
 use pcp::storage::{EnvRef, SimDevice, SimEnv, SsdModel};
 use std::collections::BTreeMap;
@@ -74,16 +74,6 @@ fn executors() -> Vec<(&'static str, Arc<dyn CompactionExec>)> {
         ("pcp", Arc::new(PipelinedExec::pcp(16 << 10))),
         ("c-ppcp", Arc::new(PipelinedExec::c_ppcp(16 << 10, 3))),
         ("s-ppcp", Arc::new(PipelinedExec::s_ppcp(16 << 10, 2))),
-        (
-            "adaptive",
-            // A small-job threshold below these tiny compactions, so the
-            // adaptive path actually exercises the pipelined shapes.
-            Arc::new(AdaptiveExec::new(AdaptiveConfig {
-                subtask_bytes: 16 << 10,
-                small_job_bytes: 8 << 10,
-                ..AdaptiveConfig::default()
-            })),
-        ),
     ]
 }
 

@@ -2,7 +2,7 @@
 //! procedure — SCP, PCP, C-PPCP, S-PPCP, and the engine's entry-level
 //! reference — produces the same logical output for the same input.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelineConfig, PipelinedExec, ScpExec};
+use pcp::core::{PipelineConfig, PipelinedExec, ScpExec};
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{CompactionExec, CompactionRequest, SimpleMergeExec};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
@@ -158,17 +158,6 @@ proptest! {
                     subtask_bytes: 2 << 10,
                     deep_compute: true,
                     ..Default::default()
-                })),
-            ),
-            (
-                // Straddles the small-job threshold: some generated inputs
-                // take the simple-merge path, the rest a pipelined shape —
-                // the shape switch itself must be invisible in the output.
-                "adaptive",
-                Box::new(AdaptiveExec::new(AdaptiveConfig {
-                    subtask_bytes: 2 << 10,
-                    small_job_bytes: 4 << 10,
-                    ..AdaptiveConfig::default()
                 })),
             ),
         ] {
