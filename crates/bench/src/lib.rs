@@ -180,7 +180,6 @@ impl Fixture {
             file_numbers: Arc::new(AtomicU64::new(10_000)),
             table_opts: table_opts(),
             max_output_bytes: SSTABLE_BYTES,
-            grant: pcp_lsm::ResourceGrant::unlimited(),
         }
     }
 

@@ -12,7 +12,6 @@
 
 use crate::filename::table_file;
 use crate::meta::FileMetadata;
-use crate::sched::ResourceGrant;
 use pcp_sstable::key::{parse_internal_key, user_key, SequenceNumber, ValueType};
 use pcp_sstable::{
     KvIter, MergingIter, Result as TableResult, TableBuilder, TableBuilderOptions,
@@ -95,10 +94,6 @@ pub struct CompactionRequest {
     pub table_opts: TableBuilderOptions,
     /// Output tables rotate at this size (paper: 2 MB SSTables).
     pub max_output_bytes: u64,
-    /// The scheduler's resource allowance for this compaction: stage-worker
-    /// tokens and device-bandwidth pacing. [`ResourceGrant::unlimited`]
-    /// when no scheduler is involved.
-    pub grant: ResourceGrant,
 }
 
 impl CompactionRequest {
@@ -329,7 +324,6 @@ mod tests {
             file_numbers: Arc::new(AtomicU64::new(100)),
             table_opts: TableBuilderOptions::default(),
             max_output_bytes: 2 << 20,
-            grant: ResourceGrant::unlimited(),
         };
         let outputs = SimpleMergeExec.compact(&req).unwrap();
         (outputs, env)
@@ -484,7 +478,6 @@ mod tests {
             file_numbers: Arc::new(AtomicU64::new(10)),
             table_opts: TableBuilderOptions::default(),
             max_output_bytes: 64 << 10, // small, to force several outputs
-            grant: ResourceGrant::unlimited(),
         };
         let outputs = SimpleMergeExec.compact(&req).unwrap();
         assert!(outputs.len() > 2, "expected rotation, got {}", outputs.len());

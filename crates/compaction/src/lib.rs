@@ -16,14 +16,10 @@
 //!   semantic half).
 //! * [`FileMetadata`] — immutable description of one SSTable.
 //! * [`filename`] — on-disk naming conventions.
-//! * [`sched`] / [`ResourceGrant`] — the resource allowance a scheduler
-//!   attaches to each compaction (stage-worker tokens + device bandwidth),
-//!   honored by the pipelined executors.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod filename;
-pub mod sched;
 
 mod exec;
 mod meta;
@@ -32,4 +28,3 @@ pub use exec::{
     CompactionExec, CompactionRequest, OutputWriter, SimpleMergeExec, VersionKeepFilter,
 };
 pub use meta::FileMetadata;
-pub use sched::ResourceGrant;

@@ -109,16 +109,6 @@ fn compute_config(req: &CompactionRequest) -> ComputeConfig {
     }
 }
 
-/// Compressed bytes one sub-task read off the device (for bandwidth
-/// pacing against the request's [`pcp_compaction::ResourceGrant`]).
-fn raw_bytes(data: &crate::steps::SubTaskData) -> u64 {
-    data.raw_blocks
-        .iter()
-        .flat_map(|run| run.iter())
-        .map(|b| b.len() as u64)
-        .sum()
-}
-
 fn gather_runs(req: &CompactionRequest) -> TableResult<(Vec<Arc<TableReader>>, Vec<RunBlocks>)> {
     let readers: Vec<Arc<TableReader>> = req
         .upper
@@ -202,9 +192,6 @@ impl<'req> SealedWriter<'req> {
         self.profile.record(Step::Write, t0.elapsed());
         self.profile.add_output_bytes(appended);
         self.profile.add_subtasks(1);
-        // Pace against the scheduler's bandwidth grant *after* accounting,
-        // so the artificial wait is not booked as S7 busy time.
-        self.req.grant.throttle(appended);
         Ok(())
     }
 
@@ -349,7 +336,6 @@ impl CompactionExec for ScpExec {
                 for st in &plan {
                     // S1 … S7 strictly in order; one resource busy at a time.
                     let data = read_subtask(&readers, st, &self.profile)?;
-                    req.grant.throttle(raw_bytes(&data));
                     let computed = compute_subtask(data, &ccfg, &self.profile)?;
                     writer.write_subtask(computed)?;
                 }
@@ -473,10 +459,8 @@ impl CompactionExec for PipelinedExec {
         if plan.is_empty() {
             return Ok(Vec::new());
         }
-        // The scheduler's grant caps how wide the parallel stages may run
-        // this time; an unlimited grant leaves the configured shape alone.
-        let read_workers = req.grant.clamp_workers(self.cfg.read_workers);
-        let compute_workers = req.grant.clamp_workers(self.cfg.compute_workers);
+        let read_workers = self.cfg.read_workers;
+        let compute_workers = self.cfg.compute_workers;
         if let Some(t) = &self.trace {
             t.record(
                 "compaction_start",
@@ -506,14 +490,10 @@ impl CompactionExec for PipelinedExec {
                 let read_tx = read_tx.clone();
                 let readers = &readers;
                 let plan = &plan;
-                let grant = &req.grant;
                 let lanes = read_workers;
                 scope.spawn(move || {
                     for st in plan.iter().filter(|st| st.index % lanes == lane) {
                         let item = read_subtask(readers, st, profile);
-                        if let Ok(data) = &item {
-                            grant.throttle(raw_bytes(data));
-                        }
                         let failed = item.is_err();
                         if read_tx.send(item).is_err() || failed {
                             return;
@@ -724,7 +704,6 @@ mod tests {
             file_numbers: Arc::new(AtomicU64::new(1000)),
             table_opts: TableBuilderOptions::default(),
             max_output_bytes: 256 << 10,
-            grant: pcp_compaction::ResourceGrant::unlimited(),
         }
     }
 

@@ -16,7 +16,7 @@
 //!   coupling that makes compaction bandwidth determine system throughput
 //!   (Fig. 10: IOPS vs compaction bandwidth).
 
-use crate::compact::{CompactionExec, CompactionRequest, ResourceGrant};
+use crate::compact::{CompactionExec, CompactionRequest};
 use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
 use crate::iter::{DbIter, LevelIter};
 use crate::memtable::Memtable;
@@ -98,10 +98,11 @@ pub struct Options {
     /// subdirectory per shard). [`Db::open`] itself takes an explicit env
     /// and treats this field as advisory.
     pub dir: Option<std::path::PathBuf>,
-    /// Shared admission gate bounding how many databases compact at once
+    /// Shared permit pool bounding how many databases compact at once
     /// (see [`crate::CompactionLimiter`]). `None` means ungated. Flushes
     /// are never gated — delaying a flush turns directly into writer
-    /// stalls.
+    /// stalls — and a compaction queued for a permit steps aside as soon
+    /// as its database has a memtable to flush.
     pub compaction_limiter: Option<Arc<crate::CompactionLimiter>>,
     /// Replication tap: observes every committed WAL record after its
     /// append (and sync, when `sync_writes`) succeeded, receiving the
@@ -495,15 +496,16 @@ struct DbInner {
     /// leader after a group completes, and WAL-rotation waiters.
     writers_cv: Condvar,
     shutdown: AtomicBool,
+    /// Mirrors `State::imm.is_some()` outside the state lock, so a
+    /// compaction queued on the limiter can see a pending flush without
+    /// taking that lock inside the limiter's wait.
+    flush_pending: AtomicBool,
     metrics: Metrics,
     /// Writers merged per commit group (the `pcp_engine_group_commit_batches`
     /// histogram).
     group_commit_writers: Arc<pcp_obs::Histogram>,
     /// Lifecycle event ring: flushes, compactions, trivial moves, stalls.
     trace: Arc<pcp_obs::TraceLog>,
-    /// This database's slot in [`Options::compaction_limiter`], registered
-    /// at open so the scheduler can weight grants by per-shard debt.
-    sched_slot: Option<usize>,
 }
 
 /// An open database.
@@ -616,7 +618,6 @@ impl Db {
         });
         versions.log_and_apply(edit)?;
 
-        let sched_slot = opts.compaction_limiter.as_ref().map(|l| l.register());
         let inner = Arc::new(DbInner {
             opts,
             env,
@@ -638,10 +639,10 @@ impl Db {
             done_cv: Condvar::new(),
             writers_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            flush_pending: AtomicBool::new(false),
             metrics: Metrics::default(),
             group_commit_writers: Arc::new(pcp_obs::Histogram::new()),
             trace: Arc::new(pcp_obs::TraceLog::new(1024)),
-            sched_slot,
         });
         if tail_corruptions > 0 {
             // A crash tore the tail of one or more logs; replay stopped at
@@ -932,9 +933,9 @@ impl Db {
             inner.check_bg_error(&st)?;
             if let Some(pick) = st.versions.pick_range(level, lo, hi) {
                 st.bg_active = true;
-                // Manual compactions bypass the scheduler: the caller asked
-                // for this work explicitly, so it runs unpaced.
-                let result = inner.run_compaction(&mut st, pick, None);
+                // Manual compactions bypass the limiter: the caller asked
+                // for this work explicitly.
+                let result = inner.run_compaction(&mut st, pick);
                 st.bg_active = false;
                 inner.done_cv.notify_all();
                 drop(st);
@@ -1094,14 +1095,6 @@ impl Db {
     /// bounded ring (most recent 1024 events).
     pub fn trace(&self) -> &Arc<pcp_obs::TraceLog> {
         &self.inner.trace
-    }
-
-    /// The slot this database registered with its
-    /// [`Options::compaction_limiter`] at open, or `None` when no limiter
-    /// is configured. The sharded engine uses it to read per-shard
-    /// scheduler gauges ([`crate::CompactionLimiter::granted_tokens`] etc.).
-    pub fn scheduler_slot(&self) -> Option<usize> {
-        self.inner.sched_slot
     }
 
     /// The compaction executor this database runs. In a sharded engine
@@ -1490,14 +1483,6 @@ impl Drop for Db {
         if let Some(handle) = self.bg_thread.take() {
             let _ = handle.join();
         }
-        // After the background thread is gone no further grants can be
-        // requested, so the scheduler slot can be retired (its debt stops
-        // counting toward other shards' shares).
-        if let (Some(limiter), Some(slot)) =
-            (&self.inner.opts.compaction_limiter, self.inner.sched_slot)
-        {
-            limiter.unregister(slot);
-        }
     }
 }
 
@@ -1736,6 +1721,7 @@ impl DbInner {
         }
         st.wal_number = new_wal_number;
         st.imm = Some(std::mem::replace(&mut st.mem, Arc::new(Memtable::new())));
+        self.flush_pending.store(true, AtomicOrdering::SeqCst);
         self.work_cv.notify_all();
         Ok(())
     }
@@ -1865,49 +1851,40 @@ impl DbInner {
             }
             st.bg_active = true;
             // Compactions (never flushes) pass through the shared
-            // cross-database admission gate. `bg_active` is set before the
-            // lock is released to queue for a grant, so `compact_range`
+            // cross-database permit pool. `bg_active` is set before the
+            // lock is released to queue for a permit, so `compact_range`
             // cannot start concurrently; within one `Db` only this thread
             // mutates the version set, so the pick stays valid across the
             // wait.
-            let mut permit = None;
-            if !has_flush {
-                if let Some(limiter) = &self.opts.compaction_limiter {
-                    let limiter = Arc::clone(limiter);
-                    if let Some(slot) = self.sched_slot {
-                        // Publish this shard's compaction debt (the max
-                        // level score) so the scheduler can weight the
-                        // grant: hot shards borrow pipeline width from
-                        // idle ones.
-                        limiter.set_debt(slot, st.versions.max_score(&self.opts.policy));
+            let limiter = self.opts.compaction_limiter.as_ref().filter(|_| !has_flush);
+            if let Some(limiter) = limiter {
+                // A memtable that fills while this compaction is queued
+                // aborts the wait, so its flush is never held behind a
+                // permit. The check reads an atomic: taking the state lock
+                // inside the limiter's wait would block writers.
+                let acquired = MutexGuard::unlocked(&mut st, || {
+                    limiter.acquire(&|| {
+                        self.shutdown.load(AtomicOrdering::SeqCst)
+                            || self.flush_pending.load(AtomicOrdering::SeqCst)
+                    })
+                });
+                // While queued: shutdown may have begun, a memtable may
+                // have filled (flushes take priority), or a WAL failure
+                // may have latched. In each case give the permit back and
+                // re-evaluate from the top.
+                let aborted = !acquired || st.imm.is_some() || st.bg_error.is_some();
+                if aborted {
+                    if acquired {
+                        limiter.release();
                     }
-                    let acquired = MutexGuard::unlocked(&mut st, || {
-                        limiter.acquire_grant(self.sched_slot, &|| {
-                            self.shutdown.load(AtomicOrdering::SeqCst)
-                        })
-                    });
-                    // While queued: shutdown may have begun, a memtable may
-                    // have filled (flushes take priority), or a WAL failure
-                    // may have latched. In each case give the grant back and
-                    // re-evaluate from the top.
-                    let Some(grant) = acquired else {
-                        st.bg_active = false;
-                        self.done_cv.notify_all();
-                        continue;
-                    };
-                    if st.imm.is_some() || st.bg_error.is_some() {
-                        limiter.release_grant(&grant);
-                        st.bg_active = false;
-                        self.done_cv.notify_all();
-                        continue;
-                    }
-                    permit = Some((limiter, grant));
+                    st.bg_active = false;
+                    self.done_cv.notify_all();
+                    continue;
                 }
             }
-            let grant_ref = permit.as_ref().map(|(_, g)| g.clone());
-            let result = self.run_with_retry(&mut st, has_flush, pick, grant_ref);
-            if let Some((limiter, grant)) = permit {
-                limiter.release_grant(&grant);
+            let result = self.run_with_retry(&mut st, has_flush, pick);
+            if let Some(limiter) = limiter {
+                limiter.release();
             }
             if let Err(e) = result {
                 st.bg_error = Some(e.to_string());
@@ -1925,7 +1902,6 @@ impl DbInner {
         st: &mut MutexGuard<'_, State>,
         has_flush: bool,
         pick: Option<CompactionPick>,
-        grant: Option<ResourceGrant>,
     ) -> io::Result<()> {
         let policy = self.opts.retry;
         let mut backoff = policy.base_backoff;
@@ -1935,7 +1911,7 @@ impl DbInner {
             let result = if has_flush {
                 self.run_flush(st)
             } else {
-                self.run_compaction(st, pick.clone().expect("pick present"), grant.clone())
+                self.run_compaction(st, pick.clone().expect("pick present"))
             };
             match result {
                 Ok(()) => return Ok(()),
@@ -1990,6 +1966,7 @@ impl DbInner {
         }
         st.versions.log_and_apply(edit)?;
         st.imm = None;
+        self.flush_pending.store(false, AtomicOrdering::SeqCst);
         self.metrics
             .flush_count
             .fetch_add(1, AtomicOrdering::Relaxed);
@@ -2008,7 +1985,6 @@ impl DbInner {
         &self,
         st: &mut MutexGuard<'_, State>,
         pick: CompactionPick,
-        grant: Option<ResourceGrant>,
     ) -> io::Result<()> {
         match pick {
             CompactionPick::TrivialMove { level, file } => {
@@ -2070,7 +2046,6 @@ impl DbInner {
                     file_numbers: st.versions.file_number_counter(),
                     table_opts: self.opts.table_opts(),
                     max_output_bytes: self.opts.sstable_bytes,
-                    grant: grant.unwrap_or_default(),
                 };
                 let executor = Arc::clone(&self.opts.executor);
                 self.trace.record(

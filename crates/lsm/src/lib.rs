@@ -34,15 +34,14 @@ pub mod version;
 pub mod version_set;
 pub mod wal;
 
-// The compaction interface (executor trait, reference merge, file naming,
-// resource grants) lives in `pcp-compaction` so `pcp-core`'s executors can
-// implement it without a dependency cycle; the old `pcp_lsm::compact` and
+// The compaction interface (executor trait, reference merge, file naming)
+// lives in `pcp-compaction` so `pcp-core`'s executors can implement it
+// without a dependency cycle; the old `pcp_lsm::compact` and
 // `pcp_lsm::filename` paths keep working through these re-exports.
 pub use pcp_compaction as compact;
 pub use pcp_compaction::filename;
 pub use pcp_compaction::{
-    CompactionExec, CompactionRequest, OutputWriter, ResourceGrant, SimpleMergeExec,
-    VersionKeepFilter,
+    CompactionExec, CompactionRequest, OutputWriter, SimpleMergeExec, VersionKeepFilter,
 };
 pub use db::{
     BatchOp, Db, DbHealth, IntegrityReport, LevelCompaction, Metrics, MetricsSnapshot, Options,

@@ -1,284 +1,89 @@
-//! Cross-shard compaction scheduling: admission, stage-worker tokens and
-//! device-bandwidth budget shared by the background workers of several
-//! [`crate::Db`] instances.
+//! Cross-shard compaction admission: a counting semaphore shared by the
+//! background workers of several [`crate::Db`] instances.
 //!
 //! The paper's C-PPCP argument is that compute stages should be replicated
 //! only up to the core count — more concurrency than the hardware has
 //! merely adds contention. A sharded engine (N independent `Db`s, one
 //! background worker each) re-creates exactly that hazard one level up: N
 //! simultaneous compactions each running a pipeline of their own. The
-//! original [`CompactionLimiter`] answered with a counting semaphore over
-//! *whole compactions*; this version also divides the resources *inside*
-//! that cap:
-//!
-//! * a global **stage-token budget** — how many parallel stage workers
-//!   (C-PPCP compute workers, S-PPCP read lanes) may exist across all
-//!   concurrent compactions. Tokens are granted per compaction, weighted
-//!   by each shard's pending-compaction **debt** (its max level score), so
-//!   a hot shard borrows pipeline width from idle ones instead of every
-//!   shard independently saturating the cores;
-//! * an optional **device-bandwidth budget**, split proportionally to the
-//!   granted tokens and enforced by [`ResourceGrant::throttle`] inside the
-//!   executors.
-//!
-//! Shards participate by registering a **slot** ([`CompactionLimiter::
-//! register`]) and keeping its debt fresh ([`CompactionLimiter::set_debt`]);
-//! the background worker then brackets each compaction with
-//! [`CompactionLimiter::acquire_grant`] / [`CompactionLimiter::
-//! release_grant`]. A grant is the only way to take a permit: a caller
-//! that wants just the concurrency cap takes an anonymous grant
-//! (`slot = None`) and ignores its tokens.
-//!
-//! Invariants (tested):
-//!
-//! * permits in use never exceed the permit count;
-//! * the sum of granted stage tokens never exceeds the token budget —
-//!   admission waits until at least one token is free, and a grant leaves
-//!   one token per still-admittable compaction behind when it can;
-//! * every admitted compaction holds at least one token, so it always
-//!   makes progress.
+//! [`CompactionLimiter`] answers with a pool of permits over *whole
+//! compactions*: the background worker brackets each compaction with
+//! [`CompactionLimiter::acquire`] / [`CompactionLimiter::release`], and at
+//! most [`CompactionLimiter::permits`] run at once.
 //!
 //! Flushes are never gated: delaying a flush turns directly into writer
-//! stalls. The wait loop polls with a short timeout instead of relying on
-//! a wakeup, so a `Db` dropped while queued still observes its shutdown
-//! flag promptly.
+//! stalls. The wait loop polls its abort check with a short timeout
+//! instead of relying on a wakeup, so a `Db` that is dropped, or whose
+//! memtable fills, while its compaction is queued gives up the wait
+//! promptly and goes back to flush or exit.
 
 use parking_lot::{Condvar, Mutex};
-use pcp_compaction::ResourceGrant;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-registered-shard scheduler bookkeeping.
-#[derive(Debug, Clone, Default)]
-struct SlotState {
-    /// Slot is live (between `register` and `unregister`).
-    registered: bool,
-    /// Pending-compaction debt, normally the shard's max level score
-    /// (≥ 1.0 means compaction work is due).
-    debt: f64,
-    /// Stage tokens held by this slot's running compaction (0 if idle).
-    granted_tokens: usize,
-    /// Bandwidth budget (bytes/s) of the running compaction (0 if idle
-    /// or unbudgeted).
-    granted_bandwidth: u64,
-}
-
-struct SchedState {
-    /// Compactions currently admitted.
+#[derive(Debug)]
+struct PermitState {
+    /// Permits currently held.
     in_use: usize,
     /// High-water mark of `in_use`, for tests and diagnostics.
     peak: usize,
-    /// Stage tokens currently granted across all compactions.
-    tokens_out: usize,
-    /// Times a grant exceeded its holder's equal share — i.e. a hot shard
-    /// borrowed pipeline width from idle ones.
-    steals: u64,
-    /// Slot table, indexed by the id `register` hands out.
-    slots: Vec<SlotState>,
 }
 
-/// A cross-shard compaction scheduler: bounds concurrent compactions and
-/// divides a stage-worker token budget (plus an optional device-bandwidth
-/// budget) among them, weighted by per-shard compaction debt.
+/// A pool of compaction permits shared across databases: at most
+/// [`CompactionLimiter::permits`] compactions run at once.
 ///
 /// Created once and stamped into every shard's [`crate::Options`]
 /// (`ShardedDb` does this automatically); a standalone `Db` without one
 /// simply runs unlimited.
+#[derive(Debug)]
 pub struct CompactionLimiter {
     permits: usize,
-    stage_tokens: usize,
-    bandwidth: Option<u64>,
-    state: Mutex<SchedState>,
+    state: Mutex<PermitState>,
     released: Condvar,
 }
 
-impl std::fmt::Debug for CompactionLimiter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
-        f.debug_struct("CompactionLimiter")
-            .field("permits", &self.permits)
-            .field("stage_tokens", &self.stage_tokens)
-            .field("bandwidth", &self.bandwidth)
-            .field("in_use", &st.in_use)
-            .field("peak", &st.peak)
-            .field("tokens_out", &st.tokens_out)
-            .field("steals", &st.steals)
-            .finish()
-    }
-}
-
 impl CompactionLimiter {
-    /// A scheduler with `permits` concurrent compaction slots (min 1) and
-    /// a stage-token budget sized to the host's cores.
+    /// A pool of `permits` concurrent compactions (min 1).
     pub fn new(permits: usize) -> Arc<CompactionLimiter> {
-        Self::with_budget(permits, available_cores(), None)
-    }
-
-    /// A scheduler sized to the host: `min(shards, cores)` concurrent
-    /// compactions sharing `cores` stage-worker tokens.
-    pub fn for_shards(shards: usize) -> Arc<CompactionLimiter> {
-        let cores = available_cores();
-        Self::with_budget(shards.min(cores).max(1), cores, None)
-    }
-
-    /// Full control: `permits` concurrent compactions sharing
-    /// `stage_tokens` stage workers (clamped up to `permits`, so every
-    /// admitted compaction can hold a token) and, if given, a device
-    /// budget of `bytes_per_sec` split across running compactions.
-    pub fn with_budget(
-        permits: usize,
-        stage_tokens: usize,
-        bytes_per_sec: Option<u64>,
-    ) -> Arc<CompactionLimiter> {
-        let permits = permits.max(1);
         Arc::new(CompactionLimiter {
-            permits,
-            stage_tokens: stage_tokens.max(permits),
-            bandwidth: bytes_per_sec.filter(|&b| b > 0),
-            state: Mutex::new(SchedState {
-                in_use: 0,
-                peak: 0,
-                tokens_out: 0,
-                steals: 0,
-                slots: Vec::new(),
-            }),
+            permits: permits.max(1),
+            state: Mutex::new(PermitState { in_use: 0, peak: 0 }),
             released: Condvar::new(),
         })
     }
 
-    /// Registers a shard with the scheduler and returns its slot id.
-    /// `Db::open` calls this when the options carry a limiter; the slot
-    /// feeds debt in and lets metrics attribute grants per shard.
-    pub fn register(&self) -> usize {
-        let mut st = self.state.lock();
-        if let Some(free) = st.slots.iter().position(|s| !s.registered) {
-            st.slots[free] = SlotState {
-                registered: true,
-                ..SlotState::default()
-            };
-            return free;
-        }
-        st.slots.push(SlotState {
-            registered: true,
-            ..SlotState::default()
-        });
-        st.slots.len() - 1
+    /// A pool sized to the host: `min(shards, cores)` concurrent
+    /// compactions.
+    pub fn for_shards(shards: usize) -> Arc<CompactionLimiter> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::new(shards.min(cores))
     }
 
-    /// Releases a slot taken by [`CompactionLimiter::register`] (called on
-    /// `Db` shutdown). The id may be reused by a later `register`.
-    pub fn unregister(&self, slot: usize) {
-        let mut st = self.state.lock();
-        if let Some(s) = st.slots.get_mut(slot) {
-            s.registered = false;
-            s.debt = 0.0;
-        }
-    }
-
-    /// Updates a slot's pending-compaction debt. The engine reports its
-    /// max level score here on every background-work pass; the next
-    /// [`CompactionLimiter::acquire_grant`] divides tokens proportionally
-    /// to these values.
-    pub fn set_debt(&self, slot: usize, debt: f64) {
-        let mut st = self.state.lock();
-        if let Some(s) = st.slots.get_mut(slot) {
-            if s.registered {
-                s.debt = if debt.is_finite() { debt.max(0.0) } else { 0.0 };
-            }
-        }
-    }
-
-    /// Blocks until both a permit and at least one stage token are free,
-    /// then admits the compaction and returns its resource grant: a
-    /// debt-weighted share of the token budget (never less than 1, never
-    /// more than what leaves one token per still-admittable compaction
-    /// when possible) plus the matching slice of the bandwidth budget.
-    ///
-    /// `slot` attributes the grant to a registered shard; `None` (or an
-    /// unregistered id) is anonymous and simply takes the available room.
-    /// Returns `None` without admitting once `should_abort` reports true.
-    pub fn acquire_grant(
-        &self,
-        slot: Option<usize>,
-        should_abort: &dyn Fn() -> bool,
-    ) -> Option<ResourceGrant> {
+    /// Blocks until a permit is free and takes it, returning true. Returns
+    /// false without taking one once `should_abort` reports true; it is
+    /// polled every few milliseconds while the caller waits, so it must be
+    /// cheap and must not block.
+    pub fn acquire(&self, should_abort: &dyn Fn() -> bool) -> bool {
         let mut st = self.state.lock();
         loop {
-            if st.in_use < self.permits && st.tokens_out < self.stage_tokens {
+            if st.in_use < self.permits {
                 st.in_use += 1;
                 st.peak = st.peak.max(st.in_use);
-                return Some(self.grant_locked(&mut st, slot));
+                return true;
             }
             if should_abort() {
-                return None;
+                return false;
             }
             self.released.wait_for(&mut st, Duration::from_millis(5));
         }
     }
 
-    /// Returns a grant taken by [`CompactionLimiter::acquire_grant`]:
-    /// frees the permit, the stage tokens, and the slot's running-grant
-    /// bookkeeping.
-    pub fn release_grant(&self, grant: &ResourceGrant) {
+    /// Returns a permit taken by [`CompactionLimiter::acquire`].
+    pub fn release(&self) {
         let mut st = self.state.lock();
-        let tokens = grant.stage_tokens();
-        if tokens != usize::MAX {
-            st.tokens_out = st.tokens_out.saturating_sub(tokens);
-        }
-        if let Some(s) = grant.slot().and_then(|i| st.slots.get_mut(i)) {
-            s.granted_tokens = 0;
-            s.granted_bandwidth = 0;
-        }
-        debug_assert!(st.in_use > 0, "release_grant without acquire_grant");
+        debug_assert!(st.in_use > 0, "release without acquire");
         st.in_use = st.in_use.saturating_sub(1);
         self.released.notify_all();
-    }
-
-    /// Computes one admission's token/bandwidth grant. Caller holds the
-    /// state lock and has already incremented `in_use`.
-    fn grant_locked(&self, st: &mut SchedState, slot: Option<usize>) -> ResourceGrant {
-        let avail = self.stage_tokens - st.tokens_out; // ≥ 1: admission waited for it
-        let reserve = self.permits - st.in_use; // compactions still admittable
-        let max_take = avail.saturating_sub(reserve).clamp(1, avail);
-
-        let live = slot.filter(|&i| st.slots.get(i).is_some_and(|s| s.registered));
-        let (want, fair_share) = match live {
-            Some(i) => {
-                let shards = st.slots.iter().filter(|s| s.registered).count().max(1);
-                let fair = (self.stage_tokens / shards).max(1);
-                let total_debt: f64 = st
-                    .slots
-                    .iter()
-                    .filter(|s| s.registered)
-                    .map(|s| s.debt)
-                    .sum();
-                let want = if total_debt > f64::EPSILON {
-                    let share = self.stage_tokens as f64 * st.slots[i].debt / total_debt;
-                    share.round() as usize
-                } else {
-                    fair
-                };
-                (want.max(1), fair)
-            }
-            // Anonymous grants have no debt signal: take the room.
-            None => (max_take, max_take),
-        };
-
-        let granted = want.clamp(1, max_take);
-        if granted > fair_share {
-            st.steals += 1;
-        }
-        let bandwidth = self.bandwidth.map(|b| {
-            // Proportional slice, rounded up to ≥ 1 byte/s so a granted
-            // budget always paces rather than silently disabling itself.
-            ((b as u128 * granted as u128 / self.stage_tokens as u128) as u64).max(1)
-        });
-        st.tokens_out += granted;
-        if let Some(s) = live.and_then(|i| st.slots.get_mut(i)) {
-            s.granted_tokens = granted;
-            s.granted_bandwidth = bandwidth.unwrap_or(0);
-        }
-        ResourceGrant::new(live, granted, bandwidth)
     }
 
     /// Total permits (max concurrent compactions).
@@ -295,69 +100,6 @@ impl CompactionLimiter {
     pub fn peak(&self) -> usize {
         self.state.lock().peak
     }
-
-    /// The global stage-token budget.
-    pub fn stage_tokens(&self) -> usize {
-        self.stage_tokens
-    }
-
-    /// Stage tokens currently granted across all running compactions.
-    pub fn tokens_out(&self) -> usize {
-        self.state.lock().tokens_out
-    }
-
-    /// The device-bandwidth budget in bytes/s, if one was configured.
-    pub fn bandwidth_budget(&self) -> Option<u64> {
-        self.bandwidth
-    }
-
-    /// How many grants exceeded their holder's equal share — each one is a
-    /// hot shard borrowing pipeline width from idle ones.
-    pub fn steals(&self) -> u64 {
-        self.state.lock().steals
-    }
-
-    /// Stage tokens currently held by `slot`'s running compaction (0 when
-    /// idle or unknown).
-    pub fn granted_tokens(&self, slot: usize) -> usize {
-        self.state
-            .lock()
-            .slots
-            .get(slot)
-            .map_or(0, |s| s.granted_tokens)
-    }
-
-    /// Bandwidth (bytes/s) granted to `slot`'s running compaction (0 when
-    /// idle, unknown, or unbudgeted).
-    pub fn granted_bandwidth(&self, slot: usize) -> u64 {
-        self.state
-            .lock()
-            .slots
-            .get(slot)
-            .map_or(0, |s| s.granted_bandwidth)
-    }
-
-    /// The debt last reported for `slot` (0.0 when unknown).
-    pub fn debt(&self, slot: usize) -> f64 {
-        self.state.lock().slots.get(slot).map_or(0.0, |s| s.debt)
-    }
-
-    /// Number of currently registered shard slots.
-    pub fn registered(&self) -> usize {
-        self.state
-            .lock()
-            .slots
-            .iter()
-            .filter(|s| s.registered)
-            .count()
-    }
-}
-
-/// `available_parallelism` with a floor of 1.
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -369,18 +111,16 @@ mod tests {
     fn caps_concurrency_and_tracks_peak() {
         let limiter = CompactionLimiter::new(2);
         let never = || false;
-        let g1 = limiter.acquire_grant(None, &never).unwrap();
-        let g2 = limiter.acquire_grant(None, &never).unwrap();
+        assert!(limiter.acquire(&never));
+        assert!(limiter.acquire(&never));
         assert_eq!(limiter.in_use(), 2);
         // Third acquire must wait; abort it instead.
         let aborted = AtomicBool::new(true);
-        assert!(limiter
-            .acquire_grant(None, &|| aborted.load(Ordering::SeqCst))
-            .is_none());
-        limiter.release_grant(&g1);
-        limiter.release_grant(&g2);
+        assert!(!limiter.acquire(&|| aborted.load(Ordering::SeqCst)));
+        assert_eq!(limiter.in_use(), 2, "an aborted acquire takes nothing");
+        limiter.release();
+        limiter.release();
         assert_eq!(limiter.in_use(), 0);
-        assert_eq!(limiter.tokens_out(), 0);
         assert_eq!(limiter.peak(), 2);
     }
 
@@ -396,13 +136,13 @@ mod tests {
                 let worst = Arc::clone(&worst);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        let grant = limiter.acquire_grant(None, &|| false).unwrap();
+                        assert!(limiter.acquire(&|| false));
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         worst.fetch_max(now, Ordering::SeqCst);
-                        assert!(limiter.tokens_out() <= limiter.stage_tokens());
+                        assert!(limiter.in_use() <= limiter.permits());
                         std::thread::yield_now();
                         live.fetch_sub(1, Ordering::SeqCst);
-                        limiter.release_grant(&grant);
+                        limiter.release();
                     }
                 })
             })
@@ -412,7 +152,6 @@ mod tests {
         }
         assert!(worst.load(Ordering::SeqCst) <= 3);
         assert_eq!(limiter.in_use(), 0);
-        assert_eq!(limiter.tokens_out(), 0);
         assert!(limiter.peak() <= 3);
     }
 
@@ -420,136 +159,8 @@ mod tests {
     fn zero_permits_clamps_to_one() {
         let limiter = CompactionLimiter::new(0);
         assert_eq!(limiter.permits(), 1);
-        let grant = limiter.acquire_grant(None, &|| false).unwrap();
-        assert!(grant.stage_tokens() >= 1);
-        limiter.release_grant(&grant);
+        assert!(limiter.acquire(&|| false));
+        limiter.release();
         assert_eq!(limiter.in_use(), 0);
-    }
-
-    #[test]
-    fn anonymous_grant_takes_available_room_minus_reserve() {
-        let limiter = CompactionLimiter::with_budget(2, 8, None);
-        let g1 = limiter.acquire_grant(None, &|| false).unwrap();
-        // One more compaction is admittable, so one token stays behind.
-        assert_eq!(g1.stage_tokens(), 7);
-        let g2 = limiter.acquire_grant(None, &|| false).unwrap();
-        assert_eq!(g2.stage_tokens(), 1);
-        assert_eq!(limiter.tokens_out(), 8);
-        limiter.release_grant(&g1);
-        limiter.release_grant(&g2);
-        assert_eq!(limiter.tokens_out(), 0);
-        assert_eq!(limiter.in_use(), 0);
-    }
-
-    #[test]
-    fn debt_weighting_gives_hot_shards_more_tokens() {
-        let limiter = CompactionLimiter::with_budget(4, 8, None);
-        let hot = limiter.register();
-        let idle: Vec<usize> = (0..3).map(|_| limiter.register()).collect();
-        limiter.set_debt(hot, 6.0);
-        for &s in &idle {
-            limiter.set_debt(s, 0.5);
-        }
-        // Hot shard's share: 8 × 6.0/7.5 = 6.4 → 6, clamped by the reserve
-        // (3 still-admittable compactions): max_take = 8 − 3 = 5.
-        let g = limiter.acquire_grant(Some(hot), &|| false).unwrap();
-        assert_eq!(g.stage_tokens(), 5);
-        assert_eq!(limiter.granted_tokens(hot), 5);
-        assert!(limiter.steals() >= 1, "grant above fair share is a steal");
-        // An idle shard still gets its guaranteed single token.
-        let g2 = limiter.acquire_grant(Some(idle[0]), &|| false).unwrap();
-        assert_eq!(g2.stage_tokens(), 1);
-        limiter.release_grant(&g);
-        limiter.release_grant(&g2);
-    }
-
-    #[test]
-    fn equal_debts_split_evenly_without_steals() {
-        let limiter = CompactionLimiter::with_budget(4, 8, None);
-        let slots: Vec<usize> = (0..4).map(|_| limiter.register()).collect();
-        for &s in &slots {
-            limiter.set_debt(s, 2.0);
-        }
-        let grants: Vec<ResourceGrant> = slots
-            .iter()
-            .map(|&s| limiter.acquire_grant(Some(s), &|| false).unwrap())
-            .collect();
-        for g in &grants {
-            assert_eq!(g.stage_tokens(), 2, "8 tokens / 4 equal shards");
-        }
-        assert_eq!(limiter.steals(), 0);
-        for g in &grants {
-            limiter.release_grant(g);
-        }
-    }
-
-    #[test]
-    fn bandwidth_budget_is_split_proportionally() {
-        let limiter = CompactionLimiter::with_budget(2, 4, Some(100 << 20));
-        let a = limiter.register();
-        let b = limiter.register();
-        limiter.set_debt(a, 3.0);
-        limiter.set_debt(b, 1.0);
-        let ga = limiter.acquire_grant(Some(a), &|| false).unwrap();
-        let gb = limiter.acquire_grant(Some(b), &|| false).unwrap();
-        let total = ga.bytes_per_sec().unwrap() + gb.bytes_per_sec().unwrap();
-        assert!(total <= 100 << 20, "Σ granted bandwidth within budget");
-        assert!(ga.bytes_per_sec().unwrap() > gb.bytes_per_sec().unwrap());
-        assert_eq!(limiter.granted_bandwidth(a), ga.bytes_per_sec().unwrap());
-        limiter.release_grant(&ga);
-        limiter.release_grant(&gb);
-        assert_eq!(limiter.granted_bandwidth(a), 0);
-    }
-
-    #[test]
-    fn token_budget_never_oversubscribed_under_concurrency() {
-        let limiter = CompactionLimiter::with_budget(4, 6, None);
-        let slots: Vec<usize> = (0..8).map(|_| limiter.register()).collect();
-        let held = Arc::new(AtomicUsize::new(0));
-        let worst = Arc::new(AtomicUsize::new(0));
-        let threads: Vec<_> = slots
-            .into_iter()
-            .map(|slot| {
-                let limiter = Arc::clone(&limiter);
-                let held = Arc::clone(&held);
-                let worst = Arc::clone(&worst);
-                std::thread::spawn(move || {
-                    for round in 0..40 {
-                        limiter.set_debt(slot, (slot + round) as f64);
-                        let g = limiter.acquire_grant(Some(slot), &|| false).unwrap();
-                        assert!(g.stage_tokens() >= 1);
-                        let now = held.fetch_add(g.stage_tokens(), Ordering::SeqCst)
-                            + g.stage_tokens();
-                        worst.fetch_max(now, Ordering::SeqCst);
-                        std::thread::yield_now();
-                        held.fetch_sub(g.stage_tokens(), Ordering::SeqCst);
-                        limiter.release_grant(&g);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert!(
-            worst.load(Ordering::SeqCst) <= 6,
-            "held {} tokens against a budget of 6",
-            worst.load(Ordering::SeqCst)
-        );
-        assert_eq!(limiter.tokens_out(), 0);
-        assert_eq!(limiter.in_use(), 0);
-    }
-
-    #[test]
-    fn slots_are_reused_after_unregister() {
-        let limiter = CompactionLimiter::new(2);
-        let a = limiter.register();
-        let b = limiter.register();
-        assert_ne!(a, b);
-        limiter.unregister(a);
-        assert_eq!(limiter.registered(), 1);
-        let c = limiter.register();
-        assert_eq!(c, a, "freed slot id is recycled");
-        assert_eq!(limiter.debt(c), 0.0, "recycled slot starts clean");
     }
 }

@@ -301,21 +301,6 @@ impl VersionSet {
         live
     }
 
-    /// Largest compaction score across levels (≥ 1.0 means work to do).
-    pub fn max_score(&self, policy: &CompactionPolicy) -> f64 {
-        (0..NUM_LEVELS - 1)
-            .map(|l| {
-                compaction_score(
-                    &self.current,
-                    l,
-                    policy.l0_trigger,
-                    policy.base_level_bytes,
-                    policy.level_multiplier,
-                )
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Picks the next compaction, if any level is over budget.
     pub fn pick_compaction(&self, policy: &CompactionPolicy) -> Option<CompactionPick> {
         let mut best_level = None;

@@ -1,6 +1,6 @@
 //! End-to-end engine tests over a RAM-backed simulated filesystem.
 
-use pcp_lsm::{CompactionPolicy, Db, Options, WriteBatch};
+use pcp_lsm::{CompactionLimiter, CompactionPolicy, Db, Options, WriteBatch};
 use pcp_storage::{EnvRef, SimDevice, SimEnv};
 use std::sync::Arc;
 
@@ -339,6 +339,60 @@ fn flush_forces_memtable_out() {
     let summary = db.level_summary();
     assert!(summary[0].0 >= 1, "flush must create an L0 file");
     assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+}
+
+/// Flushes are never gated by the compaction limiter: while the
+/// background thread waits for a permit to compact level 0, a memtable
+/// that fills must still be flushed.
+#[test]
+fn flush_is_not_held_behind_a_compaction_queued_for_a_permit() {
+    let limiter = CompactionLimiter::new(1);
+    assert!(limiter.acquire(&|| false), "the test holds the only permit");
+    let opts = Options {
+        compaction_limiter: Some(Arc::clone(&limiter)),
+        policy: CompactionPolicy {
+            l0_trigger: 2,
+            ..small_opts().policy
+        },
+        ..small_opts()
+    };
+    let db = Arc::new(Db::open(ram_env(), opts).unwrap());
+    // Two flushed memtables put level 0 at its trigger. The background
+    // thread picks the compaction straight after the second flush, before
+    // `flush()` can return, and queues on the limiter.
+    for round in 0..2u8 {
+        db.put(b"a", &[round]).unwrap();
+        db.put(b"z", &[round]).unwrap();
+        db.flush().unwrap();
+    }
+    assert_eq!(db.level_summary()[0].0, 2);
+
+    db.put(b"queued", b"v").unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let flusher = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || tx.send(db.flush()).unwrap())
+    };
+    let flushed = rx.recv_timeout(std::time::Duration::from_secs(10));
+    let l0_files = db.level_summary()[0].0;
+    // Hand the permit back either way, so a blocked flush can finish.
+    limiter.release();
+    flusher.join().unwrap();
+    flushed
+        .expect("flush blocked behind a compaction queued for a permit")
+        .unwrap();
+    assert_eq!(
+        l0_files, 3,
+        "the third memtable reached L0 before any compaction"
+    );
+
+    db.wait_idle().unwrap();
+    assert!(
+        db.metrics().compaction_count >= 1,
+        "the queued compaction ran"
+    );
+    assert_eq!(db.get(b"queued").unwrap(), Some(b"v".to_vec()));
+    assert_eq!(limiter.in_use(), 0);
 }
 
 #[test]

@@ -28,8 +28,7 @@
 //!    in the workspace, so even interface crates can accept a
 //!    [`Registry`]: the executor trait's `register_metrics` hook is how
 //!    the SCP and pipelined executors export their `pcp_compaction_*`
-//!    step profiles, next to the sharded engine's `pcp_sched_*`
-//!    scheduler family (see `OBSERVABILITY.md` §2).
+//!    step profiles (see `OBSERVABILITY.md` §1).
 //!
 //! [`pcp_lsm::Metrics`]: https://docs.rs/pcp-lsm
 //! [`CompactionProfile`]: https://docs.rs/pcp-core

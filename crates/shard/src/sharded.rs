@@ -346,14 +346,12 @@ impl ShardedDb {
     /// Registers every shard's engine metrics in `registry`, each series
     /// labelled `shard="<index>"`, plus the shared compaction-limiter
     /// gauges (`pcp_engine_compaction_permits`,
-    /// `pcp_engine_compactions_in_use`, `pcp_engine_compactions_peak`),
-    /// the cross-shard scheduler series (`pcp_sched_*` — token budget,
-    /// per-shard grants and debt, bandwidth slices, steal count; see
-    /// `OBSERVABILITY.md` §scheduler), and the shared executor's own
-    /// series (the `pcp_compaction_*` step profile and occupancy gauges,
-    /// labelled `exec="<name>"`). Scrapes read live atomics or take the
-    /// scheduler's short state lock — registration is one-time,
-    /// snapshotting never blocks compactions for long.
+    /// `pcp_engine_compactions_in_use`, `pcp_engine_compactions_peak`)
+    /// and the shared executor's own series (the `pcp_compaction_*` step
+    /// profile and occupancy gauges, labelled `exec="<name>"`). Scrapes
+    /// read live atomics or take the limiter's short state lock —
+    /// registration is one-time, snapshotting never blocks compactions
+    /// for long.
     pub fn register_metrics(&self, registry: &pcp_obs::Registry) {
         for (i, db) in self.shards.iter().enumerate() {
             db.register_metrics(registry, &[("shard", &i.to_string())]);
@@ -379,64 +377,6 @@ impl ShardedDb {
         for (name, help, get) in gauges {
             let limiter = Arc::clone(&self.limiter);
             registry.register_fn_gauge(name, help, Vec::new(), move || get(&limiter) as f64);
-        }
-
-        // Scheduler-level series: the global budgets plus one series per
-        // shard keyed off the slot that shard registered at open.
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_gauge(
-            "pcp_sched_stage_tokens",
-            "total stage-worker token budget shared by all shards",
-            Vec::new(),
-            move || limiter.stage_tokens() as f64,
-        );
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_gauge(
-            "pcp_sched_tokens_in_use",
-            "stage-worker tokens currently granted across all shards",
-            Vec::new(),
-            move || limiter.tokens_out() as f64,
-        );
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_gauge(
-            "pcp_sched_bandwidth_budget_bytes_per_sec",
-            "device bandwidth budget split across running compactions (0 = unpaced)",
-            Vec::new(),
-            move || limiter.bandwidth_budget().unwrap_or(0) as f64,
-        );
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_counter(
-            "pcp_sched_steals_total",
-            "grants that exceeded the fair per-shard share (a hot shard borrowing width)",
-            Vec::new(),
-            move || limiter.steals(),
-        );
-        for (i, db) in self.shards.iter().enumerate() {
-            let Some(slot) = db.scheduler_slot() else {
-                continue;
-            };
-            let shard_label = vec![("shard".to_string(), i.to_string())];
-            let limiter = Arc::clone(&self.limiter);
-            registry.register_fn_gauge(
-                "pcp_sched_tokens_granted",
-                "stage-worker tokens currently granted to this shard",
-                shard_label.clone(),
-                move || limiter.granted_tokens(slot) as f64,
-            );
-            let limiter = Arc::clone(&self.limiter);
-            registry.register_fn_gauge(
-                "pcp_sched_bandwidth_bytes_per_sec",
-                "device bandwidth currently granted to this shard (0 = unpaced)",
-                shard_label.clone(),
-                move || limiter.granted_bandwidth(slot) as f64,
-            );
-            let limiter = Arc::clone(&self.limiter);
-            registry.register_fn_gauge(
-                "pcp_sched_debt",
-                "this shard's published compaction debt (max level score)",
-                shard_label,
-                move || limiter.debt(slot),
-            );
         }
 
         // Every shard shares one executor Arc (the base options are cloned

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn mem_env() -> EnvRef {
     Arc::new(SimEnv::new(Arc::new(SimDevice::mem(256 << 20))))
@@ -144,18 +145,30 @@ fn cross_shard_batch_never_torn_by_snapshot() {
         assert_eq!(usize::from(key[0] - b'a'), s, "fixture routing");
     }
 
+    // The writer commits at least `MIN_VERSIONS` batches, then keeps
+    // committing until the reader has checked a non-empty snapshot: on a
+    // saturated host the reader's first snapshot can otherwise come after
+    // the writer's last batch. A version cap and a deadline bound the run
+    // when the two never overlap, and the liveness assert below fires.
+    const MIN_VERSIONS: u64 = 400;
+    const MAX_VERSIONS: u64 = 100_000;
+    let deadline = Instant::now() + Duration::from_secs(30);
     let stop = Arc::new(AtomicBool::new(false));
+    let overlapped = Arc::new(AtomicBool::new(false));
     let writer = {
         let db = Arc::clone(&db);
         let stop = Arc::clone(&stop);
+        let overlapped = Arc::clone(&overlapped);
         std::thread::spawn(move || {
-            for version in 1u64..=400 {
+            for version in 1..=MAX_VERSIONS {
                 let mut batch = WriteBatch::new();
                 for key in keys {
                     batch.put(key, version.to_string().as_bytes());
                 }
                 db.write(batch).unwrap();
-                if stop.load(Ordering::Relaxed) {
+                if version >= MIN_VERSIONS
+                    && (overlapped.load(Ordering::Relaxed) || Instant::now() >= deadline)
+                {
                     break;
                 }
             }
@@ -182,6 +195,7 @@ fn cross_shard_batch_never_torn_by_snapshot() {
             "snapshot mixed two batches: {reads:?}"
         );
         observed_versions += 1;
+        overlapped.store(true, Ordering::Relaxed);
     }
     writer.join().unwrap();
     assert!(observed_versions > 0, "reader never overlapped the writer");

@@ -66,7 +66,6 @@ fn run(env: EnvRef, name: &str, exec: &dyn CompactionExec, profile: &pcp::core::
         file_numbers: Arc::new(AtomicU64::new(100)),
         table_opts: TableBuilderOptions::default(),
         max_output_bytes: 2 << 20,
-        grant: pcp_lsm::ResourceGrant::unlimited(),
     };
     let t0 = Instant::now();
     let outputs = exec.compact(&req).unwrap();

@@ -17,8 +17,8 @@
 //!
 //! Each shard compacts with the production default, the plain PCP
 //! executor (`Options::default()`; set `Options::executor` for another
-//! procedure), under the shared cross-shard scheduler — see `DESIGN.md`
-//! §15.
+//! procedure), with the shards sharing one pool of compaction permits —
+//! see `DESIGN.md` §15.
 
 use pcp::lsm::Options;
 use pcp::shard::{HashRouter, KvClient, KvServer, ShardedDb};

@@ -46,7 +46,7 @@
 //! | [`codec`] | `pcp-codec` | CRC-32C, LZ block compression, varints (steps S2/S3/S5/S6) |
 //! | [`storage`] | `pcp-storage` | simulated HDD/SSD devices, RAID0, `Env` filesystems (steps S1/S7) |
 //! | [`sstable`] | `pcp-sstable` | block/table formats, bloom filters, merging iterators |
-//! | [`compaction`] | `pcp-compaction` | `CompactionExec` interface, resource grants, the cross-shard scheduler |
+//! | [`compaction`] | `pcp-compaction` | `CompactionExec` interface, reference merge, file naming |
 //! | [`lsm`] | `pcp-lsm` | memtable, WAL, versions, leveled compaction, the `Db` |
 //! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, SCP/PCP/C-PPCP/S-PPCP executors, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |

@@ -61,7 +61,6 @@ fn run_compaction(
         file_numbers: Arc::new(AtomicU64::new(100)),
         table_opts: TableBuilderOptions::default(),
         max_output_bytes: 32 << 10,
-        grant: pcp_lsm::ResourceGrant::unlimited(),
     };
     let outputs = exec
         .compact(&req)

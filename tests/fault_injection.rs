@@ -302,7 +302,6 @@ fn compact_inputs(inner: &EnvRef, req_env: EnvRef) -> TableResult<CompactOutcome
         file_numbers: Arc::new(AtomicU64::new(100)),
         table_opts: TableBuilderOptions::default(),
         max_output_bytes: 8 << 10,
-        grant: pcp_lsm::ResourceGrant::unlimited(),
     };
     let outputs = PipelinedExec::pcp(2 << 10).compact(&req)?;
     let entries = read_outputs(inner, &outputs);

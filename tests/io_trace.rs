@@ -61,7 +61,6 @@ fn request(env: &EnvRef, upper: Vec<Arc<TableReader>>, lower: Vec<Arc<TableReade
         file_numbers: Arc::new(AtomicU64::new(500)),
         table_opts: TableBuilderOptions::default(),
         max_output_bytes: 1 << 20,
-        grant: pcp_lsm::ResourceGrant::unlimited(),
     }
 }
 
